@@ -1,8 +1,10 @@
 package main
 
 import (
+	"runtime"
 	"testing"
 
+	"autopart/internal/par"
 	"autopart/pkg/autopart"
 )
 
@@ -21,52 +23,54 @@ func builtinSources(t *testing.T) map[string]string {
 	return out
 }
 
-// TestParallelSequentialDeterminism proves the parallel unification path
-// is deterministic: compiling with the process-wide sequential switch on
-// and off yields identical canonicalization maps and byte-identical
-// -constraints/-launches output for every builtin benchmark. The
-// parallel candidate checks pick their winner by candidate order, not
-// completion order, so the two modes must never diverge.
-func TestParallelSequentialDeterminism(t *testing.T) {
+// TestSearchNodeDeterminism compiles every builtin five times with a
+// forced 4-worker pool at the default GOMAXPROCS and five times under
+// GOMAXPROCS=1, and requires the same search-node count, canonicalization
+// map and DPL program from all ten compiles. Algorithm 3 commits the
+// first solvable candidate in mapping order, so the search is a pure
+// function of the source; MiniAero's count is pinned exactly.
+func TestSearchNodeDeterminism(t *testing.T) {
+	const miniAeroNodes = 553
 	for name, src := range builtinSources(t) {
 		t.Run(name, func(t *testing.T) {
-			autopart.SequentialEvaluation(true)
-			seq, err := autopart.Compile(src, autopart.Options{})
-			autopart.SequentialEvaluation(false)
-			if err != nil {
-				t.Fatalf("sequential compile: %v", err)
-			}
-			par, err := autopart.Compile(src, autopart.Options{})
-			if err != nil {
-				t.Fatalf("parallel compile: %v", err)
-			}
-
-			if len(seq.Solution.Canon) != len(par.Solution.Canon) {
-				t.Fatalf("Canon size differs: sequential %d vs parallel %d",
-					len(seq.Solution.Canon), len(par.Solution.Canon))
-			}
-			for sym, want := range seq.Solution.Canon {
-				if got, ok := par.Solution.Canon[sym]; !ok || got != want {
-					t.Errorf("Canon[%q]: sequential %q, parallel %q (present=%v)", sym, want, got, ok)
+			var compiles []*autopart.Compiled
+			compile := func(mode string) {
+				for i := 0; i < 5; i++ {
+					c, err := autopart.Compile(src, autopart.Options{})
+					if err != nil {
+						t.Fatalf("%s compile %d: %v", mode, i, err)
+					}
+					compiles = append(compiles, c)
 				}
 			}
-			if s, p := seq.Solution.Program.String(), par.Solution.Program.String(); s != p {
-				t.Errorf("DPL program differs:\n--- sequential ---\n%s\n--- parallel ---\n%s", s, p)
-			}
+			defer par.SetWorkers(0)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			par.SetWorkers(4)
+			compile("4 workers")
+			par.SetWorkers(0)
+			runtime.GOMAXPROCS(1)
+			compile("GOMAXPROCS=1")
 
-			// Full driver output (constraints + launches), timing stripped.
-			autopart.SequentialEvaluation(true)
-			seqOut, seqErr, code := runAPC(t, "", "-builtin", name, "-constraints", "-launches")
-			autopart.SequentialEvaluation(false)
-			if code != 0 {
-				t.Fatalf("sequential apc exit %d:\n%s", code, seqErr)
+			want := compiles[0].Solution
+			if name == "miniaero" && want.Stats.Nodes != miniAeroNodes {
+				t.Errorf("search nodes = %d, want %d", want.Stats.Nodes, miniAeroNodes)
 			}
-			parOut, parErr, code := runAPC(t, "", "-builtin", name, "-constraints", "-launches")
-			if code != 0 {
-				t.Fatalf("parallel apc exit %d:\n%s", code, parErr)
-			}
-			if s, p := stripTiming(seqOut), stripTiming(parOut); s != p {
-				t.Errorf("-constraints/-launches output differs between modes\n--- sequential ---\n%s\n--- parallel ---\n%s", s, p)
+			for i, c := range compiles[1:] {
+				got := c.Solution
+				if got.Stats.Nodes != want.Stats.Nodes {
+					t.Errorf("compile %d: search nodes %d, first compile %d", i+1, got.Stats.Nodes, want.Stats.Nodes)
+				}
+				if len(got.Canon) != len(want.Canon) {
+					t.Errorf("compile %d: Canon size %d, first compile %d", i+1, len(got.Canon), len(want.Canon))
+				}
+				for sym, w := range want.Canon {
+					if g, ok := got.Canon[sym]; !ok || g != w {
+						t.Errorf("compile %d: Canon[%q] = %q (present=%v), first compile %q", i+1, sym, g, ok, w)
+					}
+				}
+				if g, w := got.Program.String(), want.Program.String(); g != w {
+					t.Errorf("compile %d: DPL program differs:\n--- first ---\n%s\n--- this ---\n%s", i+1, w, g)
+				}
 			}
 		})
 	}

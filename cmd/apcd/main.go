@@ -66,7 +66,7 @@ func main() {
 	}
 	srv := newServer(autopart.NewService(opts), *maxResults)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -79,6 +79,26 @@ func main() {
 	log.Printf("apcd listening on %s", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
+	}
+}
+
+// Connection timeouts: a client that trickles its request headers, or
+// parks an idle keep-alive connection, would otherwise hold a goroutine
+// and a file descriptor forever. There is deliberately no WriteTimeout:
+// a legitimate compile can take seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the handler in an http.Server with the daemon's
+// connection timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

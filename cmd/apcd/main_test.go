@@ -295,3 +295,18 @@ func TestViewCache(t *testing.T) {
 		t.Errorf("hit_rate = %v, want in (0,1)", rate)
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection timeouts that stop a slow
+// or idle client from holding a connection forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none: compiles can take seconds", hs.WriteTimeout)
+	}
+}

@@ -12,7 +12,10 @@
 //
 // Usage:
 //
-//	compilebench [-runs N] [-o BENCH_compile.json] [-sequential]
+//	compilebench [-runs N] [-o BENCH_compile.json]
+//
+// Run it under GOMAXPROCS=1 for a sequential measurement; the report
+// records the GOMAXPROCS and CPU count it ran with.
 //
 // The benchmark is observational, not gating: no thresholds are
 // enforced here.
@@ -152,7 +155,8 @@ type editRecompileRow struct {
 // report is the top-level JSON document.
 type report struct {
 	Runs          int                `json:"runs"`
-	Sequential    bool               `json:"sequential"`
+	GOMAXPROCS    int                `json:"gomaxprocs"`
+	NumCPU        int                `json:"num_cpu"`
 	GoOS          string             `json:"goos"`
 	GoArch        string             `json:"goarch"`
 	Apps          []appResult        `json:"apps"`
@@ -329,14 +333,10 @@ func measureEditRecompile(name, src string, runs int) editRecompileRow {
 func main() {
 	runs := flag.Int("runs", 10, "compile runs per program (one extra warm-up run is not counted)")
 	out := flag.String("o", "BENCH_compile.json", "output JSON path (- for stdout)")
-	sequential := flag.Bool("sequential", false, "force sequential unification/evaluation")
 	flag.Parse()
 	if *runs < 1 {
 		fmt.Fprintln(os.Stderr, "compilebench: -runs must be >= 1")
 		os.Exit(2)
-	}
-	if *sequential {
-		autopart.SequentialEvaluation(true)
 	}
 
 	apps := []struct {
@@ -357,7 +357,13 @@ func main() {
 		"rewrite":   {"rewrite"},
 	}
 
-	rep := report{Runs: *runs, Sequential: *sequential, GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
+	rep := report{
+		Runs:       *runs,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoOS:       runtime.GOOS,
+		GoArch:     runtime.GOARCH,
+	}
 	for _, app := range apps {
 		obs := &passObserver{samples: map[string][]time.Duration{}}
 		var last *autopart.Compiled

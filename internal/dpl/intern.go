@@ -34,10 +34,12 @@ import (
 // bound it. One process-wide Default table backs the package-level
 // functions; all compiles in a process share it, which is the point —
 // the thousandth compile of a near-identical program finds its
-// expressions already interned. Each table's shard set is an atomically
-// published immutable snapshot (the struct and the one modified shard map
-// are copied on insert) and safe for concurrent use; the parallel
-// unification checks intern from multiple goroutines.
+// expressions already interned. Each shard is safe for concurrent use
+// (a Service runs compiles side by side): lookups read an atomically
+// published map without locks, and inserts go to a small locked map
+// that is folded into a fresh published map in amortized O(1) per
+// insert (see internShard), so the cost of a first sight does not grow
+// with everything the process interned before.
 //
 // Epoch-based reclamation bounds a table. Interned ids (expression ids
 // and dense symbol ids) are only meaningful relative to one table
@@ -63,8 +65,8 @@ type Table struct {
 	symIDs   atomic.Pointer[map[string]int32]
 	symNames atomic.Pointer[[]string]
 
-	internMu sync.Mutex // serializes expression writers only
-	shards   atomic.Pointer[internShards]
+	internMu sync.Mutex // guards the shards' recent maps, seq and entries
+	shards   internShards
 	seq      uint64
 	entries  int // total expression entries, maintained under internMu
 
@@ -90,24 +92,12 @@ type Table struct {
 // NewTable returns an empty, unbounded intern table.
 func NewTable() *Table {
 	t := &Table{}
-	t.shards.Store(freshShards())
+	t.shards.reset()
 	emptySyms := map[string]int32{}
 	t.symIDs.Store(&emptySyms)
 	noNames := []string{}
 	t.symNames.Store(&noNames)
 	return t
-}
-
-func freshShards() *internShards {
-	return &internShards{
-		vars:           map[string]*exprInfo{},
-		equals:         map[string]*exprInfo{},
-		images:         map[opKey]*exprInfo{},
-		preimages:      map[opKey]*exprInfo{},
-		imagesMulti:    map[opKey]*exprInfo{},
-		preimagesMulti: map[opKey]*exprInfo{},
-		bins:           map[binKey]*exprInfo{},
-	}
 }
 
 // defaultTable backs the package-level functions. Every compile in the
@@ -207,7 +197,7 @@ func (t *Table) Reset() bool {
 // unbounded tables, where this path never runs spontaneously).
 func (t *Table) resetLocked() {
 	t.internMu.Lock()
-	t.shards.Store(freshShards())
+	t.shards.reset()
 	t.seq = 0
 	t.entries = 0
 	t.internMu.Unlock()
@@ -248,8 +238,8 @@ func (t *Table) noteGrowth(total int) {
 // they never appear in output.
 
 // SymID returns the dense interned id of a symbol name, assigning the
-// next id on first sight. Safe for concurrent use (copy-on-write, like
-// the expression table).
+// next id on first sight. Safe for concurrent use (copy-on-write: symbol
+// names repeat across programs, so the table and its copies stay small).
 func (t *Table) SymID(name string) int32 {
 	if id, ok := (*t.symIDs.Load())[name]; ok {
 		return id
@@ -451,18 +441,79 @@ type binKey struct {
 	l, r uint64
 }
 
-// internShards is one immutable snapshot of the whole intern table,
-// split per constructor. Readers load the snapshot with one atomic
-// pointer load and index the shard matching the expression's type;
-// writers copy the struct plus the single shard they modify.
+// internShards is the whole intern table, split per constructor.
 type internShards struct {
-	vars           map[string]*exprInfo
-	equals         map[string]*exprInfo
-	images         map[opKey]*exprInfo
-	preimages      map[opKey]*exprInfo
-	imagesMulti    map[opKey]*exprInfo
-	preimagesMulti map[opKey]*exprInfo
-	bins           map[binKey]*exprInfo
+	vars           internShard[string]
+	equals         internShard[string]
+	images         internShard[opKey]
+	preimages      internShard[opKey]
+	imagesMulti    internShard[opKey]
+	preimagesMulti internShard[opKey]
+	bins           internShard[binKey]
+}
+
+// reset empties every shard. Caller holds internMu (or owns the table).
+func (sh *internShards) reset() {
+	sh.vars.reset()
+	sh.equals.reset()
+	sh.images.reset()
+	sh.preimages.reset()
+	sh.imagesMulti.reset()
+	sh.preimagesMulti.reset()
+	sh.bins.reset()
+}
+
+// sizes returns every shard's entry count, ordered as the shard
+// indices. Caller holds internMu.
+func (sh *internShards) sizes() [numShards]int {
+	return [numShards]int{
+		sh.vars.size(), sh.equals.size(), sh.images.size(), sh.preimages.size(),
+		sh.imagesMulti.size(), sh.preimagesMulti.size(), sh.bins.size(),
+	}
+}
+
+// internShard is one constructor's map from structural key to entry.
+// Readers look in pub, an immutable published map, without locks; an
+// entry inserted since the last publish lives in recent, which only
+// internMu holders touch. Once the locked operations since the last
+// publish (inserts plus lookups that had to fall through to recent)
+// reach the shard's size, recent is folded into a fresh pub. A publish
+// copies the shard once per that many locked operations, so an insert
+// costs amortized O(1) whatever the table's size, and an entry that is
+// looked up often reaches the lock-free map soon.
+type internShard[K comparable] struct {
+	pub     atomic.Pointer[map[K]*exprInfo]
+	recent  map[K]*exprInfo
+	pending int
+}
+
+func (s *internShard[K]) reset() {
+	empty := map[K]*exprInfo{}
+	s.pub.Store(&empty)
+	s.recent = map[K]*exprInfo{}
+	s.pending = 0
+}
+
+func (s *internShard[K]) size() int { return len(*s.pub.Load()) + len(s.recent) }
+
+// touchLocked counts one locked operation and publishes when due.
+// Caller holds internMu.
+func (s *internShard[K]) touchLocked() {
+	s.pending++
+	pub := *s.pub.Load()
+	if s.pending < len(pub)+len(s.recent) {
+		return
+	}
+	next := make(map[K]*exprInfo, len(pub)+len(s.recent))
+	for k, v := range pub {
+		next[k] = v
+	}
+	for k, v := range s.recent {
+		next[k] = v
+	}
+	s.pub.Store(&next)
+	s.recent = map[K]*exprInfo{}
+	s.pending = 0
 }
 
 // Shard indices for the stats counters, ordered as in internShards.
@@ -519,11 +570,9 @@ type InternShardStat struct {
 func (t *Table) Stats() []InternShardStat {
 	for {
 		gen := t.statsGen.Load()
-		tab := t.shards.Load()
-		sizes := [numShards]int{
-			len(tab.vars), len(tab.equals), len(tab.images), len(tab.preimages),
-			len(tab.imagesMulti), len(tab.preimagesMulti), len(tab.bins),
-		}
+		t.internMu.Lock()
+		sizes := t.shards.sizes()
+		t.internMu.Unlock()
 		out := make([]InternShardStat, numShards)
 		for i := range out {
 			out[i] = InternShardStat{
@@ -560,136 +609,66 @@ func (t *Table) Key(e Expr) string { return t.info(e).key }
 // hashing of nested trees — at the cost of one recursion level per AST
 // node on the first sight of each subtree.
 func (t *Table) info(e Expr) *exprInfo {
-	statsOn := t.statsOn.Load()
+	sh := &t.shards
 	switch x := e.(type) {
 	case Var:
-		if in, ok := shardLookup(t, t.shards.Load().vars, x.Name, shardVar, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.vars, x.Name, shardVar, e)
 	case EqualExpr:
-		if in, ok := shardLookup(t, t.shards.Load().equals, x.Region, shardEqual, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.equals, x.Region, shardEqual, e)
 	case ImageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().images, k, shardImage, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.images, opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}, shardImage, e)
 	case PreimageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().preimages, k, shardPreimage, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.preimages, opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}, shardPreimage, e)
 	case ImageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().imagesMulti, k, shardImageMulti, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.imagesMulti, opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}, shardImageMulti, e)
 	case PreimageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().preimagesMulti, k, shardPreimageMulti, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.preimagesMulti, opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}, shardPreimageMulti, e)
 	case BinExpr:
-		k := binKey{op: x.Op, l: t.info(x.L).id, r: t.info(x.R).id}
-		if in, ok := shardLookup(t, t.shards.Load().bins, k, shardBin, statsOn); ok {
-			return in
-		}
+		return intern(t, &sh.bins, binKey{op: x.Op, l: t.info(x.L).id, r: t.info(x.R).id}, shardBin, e)
 	}
-	return t.internSlow(e)
+	// Unreachable (isExpr restricts implementations to this package);
+	// hand back the computed metadata without caching it.
+	return t.computeInfo(e)
 }
 
-// shardLookup is the generic body behind Table.shardLookup; split out
-// because methods cannot have type parameters.
-func shardLookup[K comparable](t *Table, m map[K]*exprInfo, k K, shard int, statsOn bool) (*exprInfo, bool) {
-	in, ok := m[k]
-	if statsOn {
+// intern returns the entry for k in shard s, inserting e's metadata on
+// first sight. The metadata is computed before the lock is taken —
+// computeInfo recursively interns every child, which takes the lock
+// itself — and insertion is first-writer-wins, so a concurrent
+// duplicate computation is harmless.
+func intern[K comparable](t *Table, s *internShard[K], k K, shard int, e Expr) *exprInfo {
+	in, ok := (*s.pub.Load())[k]
+	if !ok {
+		t.internMu.Lock()
+		if in, ok = s.recent[k]; ok {
+			s.touchLocked()
+		}
+		t.internMu.Unlock()
+	}
+	if t.statsOn.Load() {
 		if ok {
 			t.hits[shard].Add(1)
 		} else {
 			t.misses[shard].Add(1)
 		}
 	}
-	return in, ok
-}
-
-// copyInsert clones a shard map with one extra entry.
-func copyInsert[K comparable](m map[K]*exprInfo, k K, in *exprInfo) map[K]*exprInfo {
-	next := make(map[K]*exprInfo, len(m)+1)
-	for kk, vv := range m {
-		next[kk] = vv
-	}
-	next[k] = in
-	return next
-}
-
-// internSlow inserts a newly seen expression. The metadata is computed
-// before the lock is taken — computeInfo recursively interns every
-// child, so the shard keys below are guaranteed hits and cannot
-// re-enter the lock.
-func (t *Table) internSlow(e Expr) *exprInfo {
-	in := t.computeInfo(e)
-	t.internMu.Lock()
-	tab := *t.shards.Load() // shallow struct copy; shard maps still shared
-	switch x := e.(type) {
-	case Var:
-		if prior, ok := tab.vars[x.Name]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.vars = copyInsert(tab.vars, x.Name, in)
-	case EqualExpr:
-		if prior, ok := tab.equals[x.Region]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.equals = copyInsert(tab.equals, x.Region, in)
-	case ImageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.images[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.images = copyInsert(tab.images, k, in)
-	case PreimageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.preimages[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.preimages = copyInsert(tab.preimages, k, in)
-	case ImageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.imagesMulti[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.imagesMulti = copyInsert(tab.imagesMulti, k, in)
-	case PreimageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.preimagesMulti[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.preimagesMulti = copyInsert(tab.preimagesMulti, k, in)
-	case BinExpr:
-		k := binKey{op: x.Op, l: t.info(x.L).id, r: t.info(x.R).id}
-		if prior, ok := tab.bins[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.bins = copyInsert(tab.bins, k, in)
-	default:
-		// Unreachable (isExpr restricts implementations to this package);
-		// hand back the computed metadata without caching it.
-		t.seq++
-		in.id = t.seq
-		t.internMu.Unlock()
+	if ok {
 		return in
+	}
+	in = t.computeInfo(e)
+	t.internMu.Lock()
+	prior, ok := (*s.pub.Load())[k]
+	if !ok {
+		prior, ok = s.recent[k]
+	}
+	if ok {
+		t.internMu.Unlock()
+		return prior
 	}
 	t.seq++
 	in.id = t.seq
-	t.shards.Store(&tab)
+	s.recent[k] = in
+	s.touchLocked()
 	t.entries++
 	total := t.entries
 	t.internMu.Unlock()
@@ -698,8 +677,7 @@ func (t *Table) internSlow(e Expr) *exprInfo {
 }
 
 // computeInfo builds the metadata for e from its (recursively interned)
-// children. It runs outside the intern lock; duplicate concurrent
-// computation is harmless because insertion is first-writer-wins.
+// children. It runs outside the intern lock.
 func (t *Table) computeInfo(e Expr) *exprInfo {
 	in := t.computeInfoNoHash(e)
 	in.h = hash128(in.key)

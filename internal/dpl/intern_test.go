@@ -2,6 +2,7 @@ package dpl
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestInternStructuralIdentity(t *testing.T) {
 	}
 }
 
-// TestInternConcurrent hammers the COW shards from many goroutines to
+// TestInternConcurrent hammers the shards from many goroutines to
 // catch lost inserts or duplicate ids under the race detector.
 func TestInternConcurrent(t *testing.T) {
 	const goroutines = 8
@@ -76,6 +77,92 @@ func TestInternConcurrent(t *testing.T) {
 					g, ids[g][i], i, ids[0][i])
 			}
 		}
+	}
+}
+
+// TestInternPublishKeepsEntries interns enough distinct expressions on a
+// fresh table, from several goroutines in different orders, that every
+// shard folds its recent inserts into the published map many times. Each
+// expression must keep one id through all of that, and the per-shard
+// sizes must add up to the entry count.
+func TestInternPublishKeepsEntries(t *testing.T) {
+	const goroutines = 4
+	const exprs = 3000
+	tab := NewTable()
+	expr := func(i int) Expr {
+		v := Var{Name: fmt.Sprintf("V%d", i%50)}
+		if i%2 == 0 {
+			return BinExpr{Op: OpUnion, L: v, R: ImageExpr{Of: v, Func: fmt.Sprintf("f%d", i), Region: "R"}}
+		}
+		return PreimageExpr{Of: v, Func: fmt.Sprintf("g%d", i), Region: "R"}
+	}
+	// Each goroutine visits every expression once, in its own order:
+	// the strides are coprime with exprs.
+	strides := [goroutines]int{1, 7, 11, 13}
+	ids := make([][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids[g] = make([]uint64, exprs)
+			for k := 0; k < exprs; k++ {
+				i := (k*strides[g] + g*exprs/goroutines) % exprs
+				ids[g][i] = tab.ID(expr(i))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[uint64]int{}
+	for i := 0; i < exprs; i++ {
+		for g := 1; g < goroutines; g++ {
+			if ids[g][i] != ids[0][i] {
+				t.Fatalf("expr %d: goroutine %d saw id %d, goroutine 0 saw %d", i, g, ids[g][i], ids[0][i])
+			}
+		}
+		if j, dup := seen[ids[0][i]]; dup {
+			t.Fatalf("exprs %d and %d share id %d", j, i, ids[0][i])
+		}
+		seen[ids[0][i]] = i
+		if got := tab.ID(expr(i)); got != ids[0][i] {
+			t.Fatalf("expr %d: id changed from %d to %d", i, ids[0][i], got)
+		}
+	}
+	total := 0
+	for _, st := range tab.Stats() {
+		total += st.Entries
+	}
+	if total != tab.Entries() {
+		t.Errorf("shard sizes add up to %d, table has %d entries", total, tab.Entries())
+	}
+	// 50 vars, 1500 unions and their 1500 images, 1500 preimages.
+	if want := 50 + exprs/2 + exprs/2 + exprs/2; tab.Entries() != want {
+		t.Errorf("table has %d entries, want %d", tab.Entries(), want)
+	}
+}
+
+// TestInternInsertCostFlat checks that a first sight costs the same on
+// a large table as on a small one. An insert that copies its shard
+// would allocate bytes in proportion to the table: ten times the
+// entries, ten times the bytes per insert.
+func TestInternInsertCostFlat(t *testing.T) {
+	perInsert := func(n int) float64 {
+		exprs := make([]Expr, n)
+		for i := range exprs {
+			exprs[i] = ImageExpr{Of: Var{Name: "P"}, Func: fmt.Sprintf("f%d", i), Region: "R"}
+		}
+		tab := NewTable()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, e := range exprs {
+			tab.ID(e)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perInsert(2000), perInsert(20000)
+	if large > 2*small {
+		t.Errorf("bytes allocated per insert: %.0f at 20000 entries, %.0f at 2000", large, small)
 	}
 }
 

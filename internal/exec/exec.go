@@ -449,20 +449,26 @@ func Run(prog *Program, cfg Config) (*Result, error) {
 		}(j)
 	}
 	wg.Wait()
+	var runErr error
 	for j, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("exec: node %d: %w", j, err)
+			runErr = fmt.Errorf("exec: node %d: %w", j, err)
+			break
 		}
 	}
-	if rep, ok := tr.(errReporter); ok {
-		if err := rep.Err(); err != nil {
-			return nil, err
-		}
+	if rep, ok := tr.(errReporter); ok && runErr == nil {
+		runErr = rep.Err()
 	}
+	// Close on every path, failed runs included, so the transport's
+	// sockets never outlive Run. Every RunNode has called CloseSend, so
+	// Close cannot block.
 	if c, ok := tr.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return nil, fmt.Errorf("exec: transport close: %w", err)
+		if err := c.Close(); err != nil && runErr == nil {
+			runErr = fmt.Errorf("exec: transport close: %w", err)
 		}
+	}
+	if runErr != nil {
+		return nil, runErr
 	}
 	return AssembleResult(prog, cfg, results)
 }

@@ -10,20 +10,21 @@ import (
 )
 
 // Mesh is the cross-process data plane: the transport one worker
-// process uses for its single node of a multi-process run. Where
-// tcpTransport holds all n nodes' endpoints inside one process, a Mesh
-// holds exactly one node's slice of the same full-mesh topology — n-1
-// inbound streams accepted on the worker's data listener and n-1
-// outbound streams dialed to the peer addresses the coordinator's
-// topology frame announced. Streams reuse wire.go's data frames behind
-// a preamble of one protocol version byte plus the hello frame naming
-// the sender, so a peer from a different build is refused at stream
-// setup rather than misparsed mid-run.
+// process uses for its single node of a multi-process run (the tcp
+// transport builds n of them in one process). A Mesh holds exactly one
+// node's slice of the full-mesh topology — n-1 inbound streams accepted
+// on the worker's data listener and n-1 outbound streams dialed to the
+// peer addresses the coordinator's topology frame announced. Streams
+// reuse wire.go's data frames behind a preamble of one protocol version
+// byte plus the hello frame naming the sender, so a peer from a
+// different build is refused at stream setup rather than misparsed
+// mid-run.
 //
-// Send keeps the executor's never-blocks contract via the same elastic
-// pipe + flush-before-blocking writer the TCP transport uses. Failures
-// latch into Err; Abort hard-closes every stream so a node blocked in a
-// mailbox take fails fast instead of waiting out a dead peer.
+// Send keeps the executor's never-blocks contract via an elastic pipe
+// per outbound stream and a writer that flushes before blocking.
+// Failures latch into Err; Abort hard-closes every stream so a node
+// blocked in a mailbox take fails fast instead of waiting out a dead
+// peer.
 type Mesh struct {
 	self  int
 	nodes int

@@ -20,7 +20,7 @@ const (
 	// mergeMsg moves a reduction buffer's remote-owned contributions to
 	// their owners for the ordered fold.
 	mergeMsg
-	// helloMsg is the TCP transport's stream preamble: the first frame
+	// helloMsg is the Mesh stream preamble: the first frame
 	// on each connection, identifying the sender. Never delivered to a
 	// node.
 	helloMsg

@@ -1,242 +1,84 @@
 package exec
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 )
 
-// tcpTransport runs the coherence protocol over real sockets on
-// loopback: one listener per node, one connection per ordered sender →
-// receiver pair (established eagerly at construction, so inbox
-// end-of-stream is simply "all n-1 peers sent EOF"), frames encoded by
-// wire.go. A per-pair elastic pipe sits in front of each socket writer
-// so Send keeps the never-blocks contract even when the kernel buffer
-// fills; readers decode frames straight into the receiver's inbox
-// queue. Socket failures are latched into err and surfaced through
-// Err() after the run — mid-run they show up as closed inboxes, which
-// the nodes already treat as a peer loss.
-type tcpTransport struct {
-	nodes   int
-	inboxes []*inboxQueue
-	// sends[from][to] feeds the pair's writer goroutine (nil diagonal).
-	sends [][]chan message
+// meshTransport runs every node's Mesh inside one process, so the
+// in-process differential matrix exercises the very data plane a
+// multi-process run uses: loopback streams, version + hello preambles,
+// elastic writers. Node i sends through meshes[i] and receives from
+// meshes[i]'s inbox.
+type meshTransport []*Mesh
 
-	mu        sync.Mutex
-	err       error
-	listeners []net.Listener
-	conns     []net.Conn
-	wg        sync.WaitGroup // writer + reader goroutines
-}
-
-// TCPTransport returns the factory for the loopback TCP transport.
-// Note the connection count is quadratic in nodes: fine for the
-// correctness matrix and modest runs, not for 256-node sweeps (use
-// inproc there; the wire cost model is identical).
+// TCPTransport returns the factory for the loopback TCP transport: one
+// listener and one Mesh per node. Note the connection count is
+// quadratic in nodes: fine for the correctness matrix and modest runs,
+// not for 256-node sweeps (use inproc there; the wire cost model is
+// identical).
 func TCPTransport() TransportFactory {
 	return func(nodes int) (Transport, error) {
-		return newTCPTransport(nodes)
-	}
-}
-
-func newTCPTransport(nodes int) (*tcpTransport, error) {
-	t := &tcpTransport{
-		nodes:   nodes,
-		inboxes: make([]*inboxQueue, nodes),
-		sends:   make([][]chan message, nodes),
-	}
-	for j := 0; j < nodes; j++ {
-		t.inboxes[j] = newInboxQueue(nodes - 1)
-		t.sends[j] = make([]chan message, nodes)
-	}
-
-	listeners := make([]net.Listener, nodes)
-	for j := 0; j < nodes; j++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.close()
-			return nil, fmt.Errorf("exec: tcp: listen: %w", err)
-		}
-		listeners[j] = ln
-		t.listeners = append(t.listeners, ln)
-	}
-
-	// Accept n-1 inbound streams per node; each starts a reader that
-	// demuxes frames into the inbox (the frame's from field identifies
-	// the sender, so accept order is irrelevant).
-	for j := 0; j < nodes; j++ {
-		for i := 0; i < nodes-1; i++ {
-			t.wg.Add(1)
-		}
-		go func(to int, ln net.Listener) {
-			for i := 0; i < nodes-1; i++ {
-				conn, err := ln.Accept()
-				if err != nil {
-					t.fail(fmt.Errorf("exec: tcp: accept for node %d: %w", to, err))
-					for ; i < nodes-1; i++ {
-						t.inboxes[to].senderEOF(-1)
-						t.wg.Done()
-					}
-					return
-				}
-				t.track(conn)
-				go t.readLoop(to, conn)
-			}
-			ln.Close()
-		}(j, listeners[j])
-	}
-
-	// Dial every ordered pair and start its elastic writer.
-	for from := 0; from < nodes; from++ {
-		for to := 0; to < nodes; to++ {
-			if to == from {
-				continue
-			}
-			conn, err := net.Dial("tcp", listeners[to].Addr().String())
+		lns := make([]net.Listener, nodes)
+		peers := make([]string, nodes)
+		for j := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				t.close()
-				return nil, fmt.Errorf("exec: tcp: dial %d→%d: %w", from, to, err)
+				closeListeners(lns)
+				return nil, fmt.Errorf("exec: tcp: listen: %w", err)
 			}
-			t.track(conn)
-			in := make(chan message)
-			out := make(chan message)
-			go pipe(in, out)
-			t.sends[from][to] = in
-			t.wg.Add(1)
-			go t.writeLoop(from, conn, out)
+			lns[j], peers[j] = ln, ln.Addr().String()
+		}
+		// Every listener is up before the first Mesh dials, so each
+		// dial completes against the peer's accept backlog even though
+		// the peer's Mesh does not exist yet.
+		t := make(meshTransport, 0, nodes)
+		for j, ln := range lns {
+			m, err := NewMesh(MeshConfig{Self: j, Nodes: nodes, Listener: ln, Peers: peers})
+			if err != nil {
+				closeListeners(lns[j:])
+				for i, m := range t {
+					m.Abort()
+					m.CloseSend(i)
+					m.Close()
+				}
+				return nil, fmt.Errorf("exec: tcp: %w", err)
+			}
+			t = append(t, m)
+		}
+		return t, nil
+	}
+}
+
+func closeListeners(lns []net.Listener) {
+	for _, ln := range lns {
+		if ln != nil {
+			ln.Close()
 		}
 	}
-	return t, nil
 }
 
-func (t *tcpTransport) track(conn net.Conn) {
-	t.mu.Lock()
-	t.conns = append(t.conns, conn)
-	t.mu.Unlock()
-}
+func (t meshTransport) Send(from, to int, msg message) { t[from].Send(from, to, msg) }
 
-func (t *tcpTransport) fail(err error) {
-	t.mu.Lock()
-	if t.err == nil {
-		t.err = err
+func (t meshTransport) Inbox(to int) <-chan message { return t[to].Inbox(to) }
+
+func (t meshTransport) CloseSend(from int) { t[from].CloseSend(from) }
+
+// Err joins the nodes' stream and decode failures, if any.
+func (t meshTransport) Err() error {
+	errs := make([]error, len(t))
+	for i, m := range t {
+		errs[i] = m.Err()
 	}
-	t.mu.Unlock()
+	return errors.Join(errs...)
 }
 
-// Err reports the first socket or decode failure, if any.
-func (t *tcpTransport) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// Close waits for the in-flight writer and reader goroutines, then
-// releases every socket. Run calls it after all inboxes have drained.
-func (t *tcpTransport) Close() error {
-	t.wg.Wait()
-	t.close()
+// Close waits for every Mesh's stream goroutines and releases its
+// sockets. Run calls it after every node has called CloseSend.
+func (t meshTransport) Close() error {
+	for _, m := range t {
+		m.Close()
+	}
 	return nil
-}
-
-func (t *tcpTransport) close() {
-	t.mu.Lock()
-	ls, cs := t.listeners, t.conns
-	t.listeners, t.conns = nil, nil
-	t.mu.Unlock()
-	for _, ln := range ls {
-		ln.Close()
-	}
-	for _, c := range cs {
-		c.Close()
-	}
-}
-
-// writeLoop drains one pair's elastic pipe onto its socket — after a
-// hello frame naming the sender, so the reader can attribute its EOF —
-// then half-closes so the peer's reader sees a clean end of stream.
-func (t *tcpTransport) writeLoop(from int, conn net.Conn, out <-chan message) {
-	defer t.wg.Done()
-	w := bufio.NewWriter(conn)
-	hello := message{kind: helloMsg, from: from}
-	err := writeFrame(w, &hello)
-	for {
-		var m message
-		var ok bool
-		select {
-		case m, ok = <-out:
-		default:
-			// Nothing immediately ready: flush buffered frames before
-			// blocking, or the peer waits on bytes stuck here (the node
-			// it is serving may be the one this stream's sender blocks
-			// on — a cycle the unbounded pipes exist to prevent).
-			if err == nil {
-				err = w.Flush()
-			}
-			m, ok = <-out
-		}
-		if !ok {
-			break
-		}
-		if err != nil {
-			continue // drain on error so pipe() can exit
-		}
-		err = writeFrame(w, &m)
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		t.fail(fmt.Errorf("exec: tcp: send from node %d: %w", from, err))
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.CloseWrite()
-	} else {
-		conn.Close()
-	}
-}
-
-// readLoop decodes one inbound stream into node to's inbox until EOF.
-// The sender's identity comes from the stream's hello frame; a stream
-// that dies before its hello reports an anonymous EOF (from = -1).
-func (t *tcpTransport) readLoop(to int, conn net.Conn) {
-	defer t.wg.Done()
-	from := -1
-	defer func() { t.inboxes[to].senderEOF(from) }()
-	r := bufio.NewReader(conn)
-	hello, err := readFrame(r)
-	if err != nil || hello.kind != helloMsg {
-		t.fail(fmt.Errorf("exec: tcp: node %d: bad stream preamble (err=%v, kind=%v)", to, err, hello.kind))
-		return
-	}
-	from = hello.from
-	for {
-		m, err := readFrame(r)
-		if err != nil {
-			if err != io.EOF {
-				t.fail(fmt.Errorf("exec: tcp: recv at node %d from %d: %w", to, from, err))
-			}
-			return
-		}
-		t.inboxes[to].push(m)
-	}
-}
-
-func (t *tcpTransport) Send(from, to int, msg message) {
-	msg.from = from
-	t.sends[from][to] <- msg
-}
-
-func (t *tcpTransport) Inbox(to int) <-chan message { return t.inboxes[to].out }
-
-// CloseSend closes the sender's pair pipes; writers drain, flush, and
-// half-close their sockets.
-func (t *tcpTransport) CloseSend(from int) {
-	for to, ch := range t.sends[from] {
-		if ch != nil {
-			close(ch)
-			t.sends[from][to] = nil
-		}
-	}
 }

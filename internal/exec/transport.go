@@ -24,7 +24,8 @@ import (
 //     has closed, each inbox drains and then closes.
 //
 // Implementations may also expose Err() error, which Run checks after
-// the nodes exit (the TCP transport reports socket failures this way).
+// the nodes exit (the tcp transport reports socket failures this way),
+// and io.Closer, which Run calls on every return path.
 type Transport interface {
 	Send(from, to int, msg message)
 	Inbox(to int) <-chan message

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -154,5 +155,43 @@ func TestOverlapMeasured(t *testing.T) {
 	}
 	if overlap <= 0 {
 		t.Error("no compute-communication overlap measured on a multi-launch app")
+	}
+}
+
+// failingTransport is the in-process transport with a deferred failure:
+// its Err always reports errTransport, and Close records that it ran.
+type failingTransport struct {
+	exec.Transport
+	closed *bool
+}
+
+var errTransport = errors.New("injected transport failure")
+
+func (t failingTransport) Err() error { return errTransport }
+
+func (t failingTransport) Close() error {
+	*t.closed = true
+	return nil
+}
+
+// TestRunClosesTransportOnFailure pins that Run releases the transport
+// even when the run fails, here through the transport's own Err.
+func TestRunClosesTransportOnFailure(t *testing.T) {
+	app := smallAppCases(t)[0]
+	prog, err := app.build(2)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	var closed bool
+	factory := func(nodes int) (exec.Transport, error) {
+		inner, err := exec.InprocTransport()(nodes)
+		return failingTransport{Transport: inner, closed: &closed}, err
+	}
+	_, err = exec.Run(prog, exec.Config{Nodes: 2, Steps: 1, Transport: factory})
+	if !errors.Is(err, errTransport) {
+		t.Fatalf("Run error = %v, want %v", err, errTransport)
+	}
+	if !closed {
+		t.Error("Run returned without closing the transport")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Wire format: a compact length-prefixed binary encoding of message,
-// used by the TCP transport. One frame per message:
+// used by Mesh streams (and so the tcp transport). One frame per message:
 //
 //	u32 payload length (not counting the prefix)
 //	u8  kind

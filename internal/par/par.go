@@ -2,43 +2,23 @@
 // evaluation engine (region partition operators, the sim scaling driver).
 // It is a thin stdlib-only layer: a Do(n, fn) fan-out over GOMAXPROCS
 // goroutines with deterministic result placement (callers index into
-// pre-sized output slices), plus a process-wide sequential switch used to
-// debug or to compare parallel and sequential evaluations bit-for-bit.
-//
-// Sequential mode is entered either programmatically (SetSequential) or
-// by setting the AUTOPART_SEQUENTIAL environment variable to any
-// non-empty value before the process starts.
+// pre-sized output slices). With one worker Do runs inline, so running
+// under GOMAXPROCS=1 (or SetWorkers(1)) gives the sequential evaluation
+// that parallel results are compared against bit-for-bit.
 package par
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-var (
-	sequential atomic.Bool
-	// workers overrides the pool size when > 0; 0 means GOMAXPROCS.
-	workers atomic.Int64
-)
-
-func init() {
-	if os.Getenv("AUTOPART_SEQUENTIAL") != "" {
-		sequential.Store(true)
-	}
-}
-
-// SetSequential switches every subsequent Do call to inline sequential
-// execution (true) or back to the worker pool (false). Process-wide.
-func SetSequential(v bool) { sequential.Store(v) }
-
-// Sequential reports whether sequential mode is active.
-func Sequential() bool { return sequential.Load() }
+// workers overrides the pool size when > 0; 0 means GOMAXPROCS.
+var workers atomic.Int64
 
 // SetWorkers overrides the pool size; n <= 0 restores the default
 // (GOMAXPROCS). Intended for tests that force the concurrent path on
-// single-CPU machines.
+// single-CPU machines, or the inline path with n == 1.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -54,13 +34,13 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Do runs fn(0), fn(1), ..., fn(n-1), each exactly once. In sequential
-// mode (or when the pool has a single worker) the calls run inline in
-// index order; otherwise they are distributed over min(n, Workers())
-// goroutines. fn must therefore be safe for concurrent invocation with
-// distinct indices; deterministic output is achieved by having fn write
-// only to the i-th slot of pre-sized slices. A panic in any invocation
-// is re-raised on the calling goroutine after all workers stop.
+// Do runs fn(0), fn(1), ..., fn(n-1), each exactly once. When
+// min(n, Workers()) is 1 the calls run inline in index order; otherwise
+// they are distributed over that many goroutines. fn must therefore be
+// safe for concurrent invocation with distinct indices; deterministic
+// output is achieved by having fn write only to the i-th slot of
+// pre-sized slices. A panic in any invocation is re-raised on the
+// calling goroutine after all workers stop.
 func Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -69,7 +49,7 @@ func Do(n int, fn func(i int)) {
 	if w > n {
 		w = n
 	}
-	if n == 1 || w <= 1 || Sequential() {
+	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

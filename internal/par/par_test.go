@@ -31,10 +31,10 @@ func TestDoCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestDoSequentialRunsInOrder(t *testing.T) {
-	SetSequential(true)
-	defer SetSequential(false)
 	var order []int
-	Do(8, func(i int) { order = append(order, i) })
+	withWorkers(t, 1, func() {
+		Do(8, func(i int) { order = append(order, i) })
+	})
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("sequential order = %v", order)

@@ -10,9 +10,8 @@
 // expressions are hash-consed (package dpl), the working system is
 // mutated in place under an undo trail so a backtracking node costs
 // O(delta) instead of a full copy, solvability verdicts are memoized by
-// canonical system fingerprint, and Algorithm 3's per-round candidate
-// checks run in parallel on the shared worker pool with a deterministic
-// winner.
+// canonical system fingerprint, and Algorithm 3 commits, per round, the
+// first candidate mapping whose merged system is solvable.
 package solver
 
 import (
@@ -96,8 +95,8 @@ type extCandidate struct {
 	comp   bool
 }
 
-// Solver holds the fixed context of one solving run. The caches are
-// guarded by mu: parallel unification checks share them.
+// Solver holds the fixed context of one solving run. Its stats are
+// guarded by mu, so searches may share one Solver across goroutines.
 type Solver struct {
 	external     *constraint.System
 	externalSyms map[string]bool
@@ -170,9 +169,9 @@ func NewWithCache(external *constraint.System, externalSyms []string, cache *Mem
 	}
 	s.collectExternalCandidates()
 	// Pre-warm the external system's indexes (both the string view the
-	// provers read and the id view the search reads): parallel
-	// solvability checks hit them concurrently, and the lazy builds are
-	// not themselves synchronized.
+	// provers read and the id view the search reads): the lazy builds
+	// are not themselves synchronized, so concurrent searches must find
+	// them already built.
 	s.external.RegionOfSym("")
 	s.external.RegionOfSymID(-1)
 	return s
@@ -303,9 +302,9 @@ type symRef struct {
 }
 
 // search is one backtracking run of Algorithm 2 over one working system.
-// It owns its budget countdown and undo trail, so concurrent searches
-// (the parallel Algorithm 3 checks) are fully isolated; only the memo
-// lookups go through the shared, locked Solver caches.
+// It owns its budget countdown and undo trail, so every search
+// (including each Algorithm 3 solvability check) is fully isolated;
+// only the memo lookups go through the shared Solver caches.
 type search struct {
 	s     *Solver
 	c     *constraint.System

@@ -9,7 +9,6 @@ import (
 	"autopart/internal/dpl"
 	"autopart/internal/infer"
 	"autopart/internal/lang"
-	"autopart/internal/par"
 )
 
 // solvableBudget caps each Algorithm 3 candidate check: checks only need
@@ -319,22 +318,21 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 
 			// Greedily consider only the first few largest candidates (as
 			// the paper notes, the largest subgraphs usually contain the
-			// smaller ones, and each check runs a full solve). Candidate
-			// filtering runs sequentially in mapping order; the expensive
-			// solvability checks then run in parallel, and the winner is
-			// the first candidate in mapping order that passes — exactly
-			// the candidate the sequential greedy loop would commit.
+			// smaller ones, and each check runs a full solve) and commit
+			// the first one whose merged system is solvable (Algorithm 3
+			// lines 9-15). Stopping at the first pass skips building every
+			// later candidate.
 			const maxTries = 6
 			deltaBeforeSubs, _ := deltaCounts(remaining)
-			type unifyCand struct {
-				renames   map[string]string
+			var (
+				winner    map[string]string
 				candidate *constraint.System
-				auto      bool // all renamed conjuncts already present
-			}
-			// filterCand applies the rename filter and the §3.2 delta
-			// tests to one mapping; nil means the mapping is skipped
-			// without consuming a try.
-			filterCand := func(m constraint.Mapping) *unifyCand {
+				tries     int
+			)
+			constraint.EachCommonSubgraph(accGraph, curGraph, func(m constraint.Mapping) bool {
+				if tries >= maxTries {
+					return false
+				}
 				// Keep only fresh→existing renamings.
 				renames := map[string]string{}
 				for from, to := range m {
@@ -344,83 +342,27 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 					renames[from] = to
 				}
 				if len(renames) == 0 {
-					return nil
+					return true
 				}
-				candidate := applyRenames(remaining, renames)
-				deltaSubs, deltaTotal := deltaCounts(candidate)
+				cand := applyRenames(remaining, renames)
+				deltaSubs, deltaTotal := deltaCounts(cand)
 				if deltaSubs >= deltaBeforeSubs {
-					return nil
+					return true
 				}
 				// deltaTotal == 0: the renamed conjuncts are all already
 				// present, the merge changes nothing, and no solvability
 				// check is needed — the common case for programs whose
 				// loops share structure (MiniAero's RK stages, PENNANT's
-				// phases). The greedy loop always commits there, so no
-				// later mapping can be reached.
-				return &unifyCand{renames: renames, candidate: candidate, auto: deltaTotal == 0}
-			}
-			var winner *unifyCand
-			if par.Sequential() || par.Workers() == 1 {
-				// One worker: the original interleaved greedy loop, whose
-				// early exit on the first passing check skips building
-				// (and materializing) every later candidate.
-				tries := 0
-				constraint.EachCommonSubgraph(accGraph, curGraph, func(m constraint.Mapping) bool {
-					if tries >= maxTries {
-						return false
-					}
-					cand := filterCand(m)
-					if cand == nil {
-						return true
-					}
-					if cand.auto {
-						winner = cand
-						return false
-					}
+				// phases).
+				if deltaTotal != 0 {
 					tries++
-					if s.solvable(mergeWithCombined(cand.candidate)) {
-						winner = cand
-						return false
-					}
-					return true
-				})
-			} else {
-				// Multiple workers: build the candidate list up front
-				// (cheap filters, sequential, in mapping order), check
-				// solvability concurrently, and pick the first passing
-				// candidate in mapping order — exactly the candidate the
-				// interleaved loop above would commit.
-				var checks []*unifyCand
-				var auto *unifyCand
-				constraint.EachCommonSubgraph(accGraph, curGraph, func(m constraint.Mapping) bool {
-					if len(checks) >= maxTries {
-						return false
-					}
-					cand := filterCand(m)
-					if cand == nil {
+					if !s.solvable(mergeWithCombined(cand)) {
 						return true
 					}
-					if cand.auto {
-						auto = cand
-						return false
-					}
-					checks = append(checks, cand)
-					return true
-				})
-				oks := make([]bool, len(checks))
-				par.Do(len(checks), func(i int) {
-					oks[i] = s.solvable(mergeWithCombined(checks[i].candidate))
-				})
-				for i := range checks {
-					if oks[i] {
-						winner = checks[i]
-						break
-					}
 				}
-				if winner == nil {
-					winner = auto
-				}
-			}
+				winner, candidate = renames, cand
+				return false
+			})
 			if winner == nil {
 				// A nil rename set memoizes "no winner": the identical
 				// round in a later compile stops unifying immediately.
@@ -429,14 +371,14 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			}
 			// Commit this unification, memoizing the committed renames for
 			// identical future rounds (sorted for deterministic replay).
-			pairs := make([]renamePair, 0, len(winner.renames))
-			for from, to := range winner.renames {
+			pairs := make([]renamePair, 0, len(winner))
+			for from, to := range winner {
 				pairs = append(pairs, renamePair{from: from, to: to})
 			}
 			sort.Slice(pairs, func(i, j int) bool { return pairs[i].from < pairs[j].from })
 			s.cache.storeUnify(rk, unifyWinner{renames: pairs})
-			remaining = winner.candidate
-			for from, to := range winner.renames {
+			remaining = candidate
+			for from, to := range winner {
 				canon[from] = to
 			}
 			// Filter conjuncts already accumulated and keep looking for

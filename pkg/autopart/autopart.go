@@ -26,7 +26,6 @@ import (
 	"autopart/internal/ir"
 	"autopart/internal/lang"
 	"autopart/internal/optimize"
-	"autopart/internal/par"
 	"autopart/internal/pipeline"
 	"autopart/internal/region"
 	"autopart/internal/rewrite"
@@ -39,13 +38,6 @@ type Options struct {
 	DisableRelaxation bool
 	// DisablePrivateSubPartitions turns off the §5.2 optimization.
 	DisablePrivateSubPartitions bool
-	// ForceSequential switches the evaluation engine (partition
-	// operators, the scaling simulator) to sequential mode for
-	// debugging. The switch is process-wide, exactly like calling
-	// SequentialEvaluation(true) or setting AUTOPART_SEQUENTIAL=1 in the
-	// environment; parallel and sequential modes produce bit-identical
-	// partitions and figures.
-	ForceSequential bool
 	// Trace, when non-nil, receives one JSON line per compiler pass
 	// (name, index, wall time, artifact metrics). Setting AUTOPART_TRACE
 	// to a non-empty value other than "0" traces to stderr without code
@@ -55,14 +47,6 @@ type Options struct {
 	// writer; see pipeline.Observer.
 	Observers []pipeline.Observer
 }
-
-// SequentialEvaluation forces (or, with false, re-enables parallelism
-// for) the evaluation engine's worker pool, process-wide. Sequential
-// and parallel evaluation are differential-tested to produce identical
-// results; the knob exists to simplify debugging and profiling. The
-// AUTOPART_SEQUENTIAL environment variable provides the same switch
-// without code changes.
-func SequentialEvaluation(v bool) { par.SetSequential(v) }
 
 // Timing is the per-phase compile-time breakdown (Table 1's rows).
 type Timing struct {
@@ -143,10 +127,6 @@ func traceEnvEnabled() bool {
 // the pooled Service funnel through here, so results are identical
 // regardless of which entry point produced them.
 func runSession(s *pipeline.Session, opts Options) (*Compiled, *pipeline.Session, error) {
-	if opts.ForceSequential {
-		par.SetSequential(true)
-	}
-
 	timing := pipeline.NewTimingObserver()
 	obs := []pipeline.Observer{timing}
 	if opts.Trace != nil {
