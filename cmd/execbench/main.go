@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,12 +140,40 @@ type runBench struct {
 }
 
 type report struct {
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	NumCPU    int        `json:"num_cpu"`
-	GoVersion string     `json:"go_version"`
-	Transport string     `json:"transport"`
-	Runs      []runBench `json:"runs"`
+	// Revision is the git commit the binary was built from, with a
+	// "+dirty" suffix when the tree had uncommitted changes, or
+	// "unknown" when the build carries no VCS stamp (go run does not).
+	Revision   string     `json:"revision"`
+	GOOS       string     `json:"goos"`
+	GOARCH     string     `json:"goarch"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	NumCPU     int        `json:"num_cpu"`
+	GoVersion  string     `json:"go_version"`
+	Transport  string     `json:"transport"`
+	Runs       []runBench `json:"runs"`
+}
+
+// revision reads the VCS stamp go build embeds in the binary.
+func revision() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", ""
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	if rev == "unknown" {
+		return rev
+	}
+	return rev + dirty
 }
 
 func p50(ds []int64) int64 {
@@ -235,11 +264,13 @@ func main() {
 	}
 
 	rep := report{
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
-		Transport: *transport,
+		Revision:   revision(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		Transport:  *transport,
 	}
 	for _, app := range apps {
 		for _, nodes := range ladder {

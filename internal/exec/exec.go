@@ -325,7 +325,7 @@ func finalOwners(prog *Program, steps int) []finalOwner {
 				// Mirror the nodes' move exactly, including the
 				// disjointification of aliased writing partitions.
 				for _, f := range req.Fields {
-					owners[sim.FieldKey{Region: req.Region, Field: f}] = sim.OwnerView(prog.Parts[req.Sym])
+					owners[sim.FieldKey{Region: req.Region, Field: f}] = prog.Parts[req.Sym].OwnerView()
 				}
 			}
 		}

@@ -359,7 +359,7 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 			continue
 		}
 		for _, f := range req.Fields {
-			n.owners[sim.FieldKey{Region: req.Region, Field: f}] = sim.OwnerView(parts[req.Sym])
+			n.owners[sim.FieldKey{Region: req.Region, Field: f}] = parts[req.Sym].OwnerView()
 		}
 	}
 
@@ -502,7 +502,7 @@ func (n *node) postOwnerOf(l *runtime.Launch, regionName, field string) (*region
 		}
 		for _, f := range req.Fields {
 			if f == field {
-				owner = sim.OwnerView(n.prog.Parts[req.Sym])
+				owner = n.prog.Parts[req.Sym].OwnerView()
 			}
 		}
 	}

@@ -392,20 +392,36 @@ func inf(sign int) float64 {
 // OpaqueFn is the deterministic semantics of opaque scalar functions
 // (the f and g of Fig. 1a). The value is an integer-valued mixing of the
 // function name and arguments so that reductions stay exact under
-// reassociation in parallel executions.
+// reassociation in parallel executions. It is OpaqueSeed(name), folded
+// through OpaqueMix once per argument, finished by OpaqueResult; callers
+// that evaluate one call site many times hash the name once with
+// OpaqueSeed and fold the arguments themselves.
 func OpaqueFn(name string, args []float64) float64 {
+	acc := OpaqueSeed(name)
+	for i, a := range args {
+		acc = OpaqueMix(acc, i, a)
+	}
+	return OpaqueResult(acc)
+}
+
+// OpaqueSeed is the starting state of OpaqueFn for a function name.
+func OpaqueSeed(name string) int64 {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	seed := int64(h.Sum32() % 97)
-	acc := seed
-	for i, a := range args {
-		// Truncate arguments to integers and mix; stays well within the
-		// exact integer range of float64 for test-sized data.
-		acc = acc*3 + int64(a)*(int64(i)+2)
-		acc %= 1000003
-		if acc < 0 {
-			acc += 1000003
-		}
-	}
-	return float64(acc % 4093)
+	return int64(h.Sum32() % 97)
 }
+
+// OpaqueMix folds argument i of value a into the running state acc.
+// Arguments are truncated to integers; the state stays well within the
+// exact integer range of float64 for test-sized data.
+func OpaqueMix(acc int64, i int, a float64) int64 {
+	acc = acc*3 + int64(a)*(int64(i)+2)
+	acc %= 1000003
+	if acc < 0 {
+		acc += 1000003
+	}
+	return acc
+}
+
+// OpaqueResult maps a final OpaqueMix state to the function's value.
+func OpaqueResult(acc int64) float64 { return float64(acc % 4093) }

@@ -20,6 +20,11 @@ type Partition struct {
 	// union lazily caches UnionAll; shared by Rename views (the
 	// subregions are immutable, so the union is too).
 	union *unionCache
+	// ownerOnce guards owner, the cached OwnerView. It is per partition
+	// object, never shared with Rename views: the view's name derives
+	// from p's.
+	ownerOnce sync.Once
+	owner     *Partition
 }
 
 type unionCache struct {
@@ -82,6 +87,26 @@ func (p *Partition) UnionAll() geometry.IndexSet {
 	}
 	p.union.once.Do(func() { p.union.set = geometry.UnionAll(p.subs) })
 	return p.union.set
+}
+
+// OwnerView derives the owner (valid-instance) distribution from a
+// writing partition: p itself when already disjoint, otherwise its
+// deterministic first-color disjointification, named p.Name()+"_own".
+// Owner maps must assign each element exactly one owner — fold routing,
+// ghost need-sets, and the final gather all rely on it — while writing
+// partitions may alias (every aliased writer computes the same value
+// under snapshot semantics, so the first color's copy stands for all).
+// The view is computed once per partition object and cached: every
+// executor node and the cost model re-derive it for each written field
+// of each launch.
+func (p *Partition) OwnerView() *Partition {
+	p.ownerOnce.Do(func() {
+		p.owner = p
+		if !p.IsDisjoint() {
+			p.owner = Disjointify(p.name+"_own", p)
+		}
+	})
+	return p.owner
 }
 
 // SubsetOf reports whether p[i] ⊆ other[i] for every color i — the subset

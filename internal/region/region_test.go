@@ -353,3 +353,29 @@ func TestDisjointify(t *testing.T) {
 		t.Error("disjoint input should be unchanged")
 	}
 }
+
+// TestOwnerViewCached pins OwnerView's memoization: one view per
+// partition object, the partition itself when disjoint, and a Rename
+// view that derives its own, correctly named, owner view.
+func TestOwnerViewCached(t *testing.T) {
+	r := New("R", 10)
+	aliased := NewPartition("A", r, []geometry.IndexSet{
+		geometry.Range(0, 6),
+		geometry.Range(4, 10),
+	})
+	v := aliased.OwnerView()
+	if v.Name() != "A_own" || !v.SamePartition(Disjointify("D", aliased)) {
+		t.Errorf("owner view = %s", v)
+	}
+	if aliased.OwnerView() != v {
+		t.Error("second OwnerView call should return the cached view")
+	}
+	renamed := aliased.Rename("B")
+	if rv := renamed.OwnerView(); rv == v || rv.Name() != "B_own" || !rv.SamePartition(v) {
+		t.Errorf("renamed owner view = %s", rv)
+	}
+	eq := Equal("E", r, 3)
+	if eq.OwnerView() != eq {
+		t.Error("a disjoint partition is its own owner view")
+	}
+}

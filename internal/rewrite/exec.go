@@ -35,38 +35,6 @@ func (ex *Executor) Bind(sym string, p *region.Partition) *Executor {
 // FieldKey identifies a region field.
 type FieldKey struct{ Region, Field string }
 
-// overlay is a task's private view: reads hit the task's writes first,
-// then the launch snapshot; writes stay private until flush.
-type overlay struct {
-	scalars map[FieldKey]map[int64]float64
-	indexes map[FieldKey]map[int64]int64
-}
-
-func newOverlay() *overlay {
-	return &overlay{
-		scalars: map[FieldKey]map[int64]float64{},
-		indexes: map[FieldKey]map[int64]int64{},
-	}
-}
-
-func (o *overlay) writeScalar(k FieldKey, idx int64, v float64) {
-	m := o.scalars[k]
-	if m == nil {
-		m = map[int64]float64{}
-		o.scalars[k] = m
-	}
-	m[idx] = v
-}
-
-func (o *overlay) writeIndex(k FieldKey, idx int64, v int64) {
-	m := o.indexes[k]
-	if m == nil {
-		m = map[int64]int64{}
-		o.indexes[k] = m
-	}
-	m[idx] = v
-}
-
 // ReduceBuffer accumulates one task's uncentered reduction contributions
 // for one field, folded from the op's identity in iteration order.
 type ReduceBuffer struct {
@@ -76,18 +44,19 @@ type ReduceBuffer struct {
 
 // ShardResult is the outcome of running one color's shard of a parallel
 // loop against a stable snapshot: the task's private writes (plain
-// stores, centered reductions, and §5.1 guarded in-place reductions) and
-// its uncentered reduction contributions. Nothing is applied to any
-// machine — the caller decides how: the sequential Executor flushes
-// shards in ascending color order and merges buffers after the launch;
-// the distributed executor ships remote-owned pieces to their owners.
+// stores, centered reductions, and §5.1 guarded in-place reductions),
+// one dense overlay per written field, and its uncentered reduction
+// contributions. Nothing is applied to any machine — the caller decides
+// how: the sequential Executor flushes shards in ascending color order
+// and merges buffers after the launch; the distributed executor ships
+// remote-owned pieces to their owners.
 type ShardResult struct {
-	Scalars    map[FieldKey]map[int64]float64
-	Indexes    map[FieldKey]map[int64]int64
+	Writes     []*Overlay
 	Reductions map[FieldKey]*ReduceBuffer
 }
 
-// RunShard executes one color's task of pl. Reads see m's current region
+// RunShard executes one color's task of pl on the loop's shard kernel,
+// compiled on the loop's first RunShard. Reads see m's current region
 // data plus the task's own earlier writes; m is not mutated, so several
 // shards may run against the same machine (a launch-entry snapshot, or a
 // distributed node's local arrays made current by a ghost exchange).
@@ -96,31 +65,18 @@ func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoo
 	if !ok {
 		return nil, fmt.Errorf("launch %s: unbound iteration partition %q", pl, pl.IterSym)
 	}
-	task := &taskExec{
-		m:       m,
-		parts:   parts,
-		pl:      pl,
-		color:   color,
-		overlay: newOverlay(),
-		buffers: map[FieldKey]*ReduceBuffer{},
-	}
-	var taskErr error
-	iter.Sub(color).Each(func(k int64) bool {
-		env := ir.Env{pl.Loop.Var: ir.IndexValue(k)}
-		if err := task.runBody(pl.Loop.Stmts, env); err != nil {
-			taskErr = fmt.Errorf("task %d, iteration %d: %w", color, k, err)
-			return false
+	k := pl.kernel()
+	s := k.bind(m, parts, color)
+	for _, iv := range iter.Sub(color).Intervals() {
+		for i := iv.Lo; i < iv.Hi; i++ {
+			clear(s.frame)
+			s.frame[k.loopSlot] = ir.IndexValue(i)
+			if err := s.run(k.body); err != nil {
+				return nil, fmt.Errorf("task %d, iteration %d: %w", color, i, err)
+			}
 		}
-		return true
-	})
-	if taskErr != nil {
-		return nil, taskErr
 	}
-	return &ShardResult{
-		Scalars:    task.overlay.scalars,
-		Indexes:    task.overlay.indexes,
-		Reductions: task.buffers,
-	}, nil
+	return s.result(), nil
 }
 
 // RunLaunch executes one parallel loop over all colors of its iteration
@@ -160,16 +116,17 @@ func (ex *Executor) RunLaunch(pl *ParallelLoop) error {
 // regions. Reduction buffers are not touched — merge those with
 // MergeShardReductions once every contributing shard has flushed.
 func FlushShard(m *ir.Machine, res *ShardResult) {
-	for k, vals := range res.Scalars {
-		data := m.Regions[k.Region].Scalar(k.Field)
-		for idx, v := range vals {
-			data[idx] = v
+	for _, ov := range res.Writes {
+		if !ov.written() {
+			continue
 		}
-	}
-	for k, vals := range res.Indexes {
-		data := m.Regions[k.Region].Index(k.Field)
-		for idx, v := range vals {
-			data[idx] = v
+		r := m.Regions[ov.Key.Region]
+		if ov.indexes != nil {
+			data := r.Index(ov.Key.Field)
+			ov.each(func(off int64) { data[ov.lo+off] = ov.indexes[off] })
+		} else {
+			data := r.Scalar(ov.Key.Field)
+			ov.each(func(off int64) { data[ov.lo+off] = ov.scalars[off] })
 		}
 	}
 }
@@ -239,311 +196,4 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 			data[idx] = ir.ApplyReduce(e.op, data[idx], v)
 		}
 	}
-}
-
-// taskExec is the per-task interpreter.
-type taskExec struct {
-	m       *ir.Machine
-	parts   map[string]*region.Partition
-	pl      *ParallelLoop
-	color   int
-	overlay *overlay
-	buffers map[FieldKey]*ReduceBuffer
-}
-
-// contains checks the containment of an access index in the task's
-// subregion of the access partition.
-func (t *taskExec) contains(info *AccessInfo, idx int64) error {
-	p, ok := t.parts[info.Sym]
-	if !ok {
-		return fmt.Errorf("unbound partition %q", info.Sym)
-	}
-	if !p.Sub(t.color).Contains(idx) {
-		return fmt.Errorf("access %s[%d].%s escapes subregion %s[%d] — unsound partitioning",
-			info.Region, idx, info.Field, info.Sym, t.color)
-	}
-	return nil
-}
-
-func (t *taskExec) runBody(stmts []ir.Stmt, env ir.Env) error {
-	for _, s := range stmts {
-		if err := t.step(s, env); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *taskExec) readScalar(k FieldKey, idx int64) float64 {
-	if m, ok := t.overlay.scalars[k]; ok {
-		if v, ok := m[idx]; ok {
-			return v
-		}
-	}
-	return t.m.Regions[k.Region].Scalar(k.Field)[idx]
-}
-
-func (t *taskExec) readIndex(k FieldKey, idx int64) int64 {
-	if m, ok := t.overlay.indexes[k]; ok {
-		if v, ok := m[idx]; ok {
-			return v
-		}
-	}
-	return t.m.Regions[k.Region].Index(k.Field)[idx]
-}
-
-func (t *taskExec) step(s ir.Stmt, env ir.Env) error {
-	switch st := s.(type) {
-	case *ir.Load:
-		info := t.pl.Access[s]
-		if info == nil {
-			return fmt.Errorf("%s: no access plan", st)
-		}
-		idxVal, err := indexOf(env, st.Idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if err := t.contains(info, idxVal); err != nil {
-			return err
-		}
-		k := FieldKey{st.Region, st.Field}
-		r := t.m.Regions[st.Region]
-		kind, _ := r.FieldKindOf(st.Field)
-		switch kind {
-		case region.ScalarField:
-			env[st.Var] = ir.ScalarValue(t.readScalar(k, idxVal))
-		case region.IndexField:
-			v := t.readIndex(k, idxVal)
-			if v < 0 {
-				env[st.Var] = ir.InvalidIndex()
-			} else {
-				env[st.Var] = ir.IndexValue(v)
-			}
-		default:
-			return fmt.Errorf("%s: cannot load range field", st)
-		}
-		return nil
-
-	case *ir.Store:
-		info := t.pl.Access[s]
-		if info == nil {
-			return fmt.Errorf("%s: no access plan", st)
-		}
-		idxVal, err := indexOf(env, st.Idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		rhs, err := t.scalar(st.Rhs, env)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		k := FieldKey{st.Region, st.Field}
-
-		if info.Guarded {
-			// §5.1: apply only when this task owns the target; the
-			// disjoint complete target partition guarantees exactly-once
-			// across the launch.
-			p, ok := t.parts[info.Sym]
-			if !ok {
-				return fmt.Errorf("%s: unbound partition %q", st, info.Sym)
-			}
-			if !p.Sub(t.color).Contains(idxVal) {
-				return nil
-			}
-			old := t.readScalar(k, idxVal)
-			t.overlay.writeScalar(k, idxVal, ir.ApplyReduce(string(st.Op), old, rhs))
-			return nil
-		}
-
-		if err := t.contains(info, idxVal); err != nil {
-			return err
-		}
-
-		if info.Buffered {
-			buf := t.buffers[k]
-			if buf == nil {
-				buf = &ReduceBuffer{Op: string(st.Op), Values: map[int64]float64{}}
-				t.buffers[k] = buf
-			}
-			old, seen := buf.Values[idxVal]
-			if !seen {
-				old = ir.ReduceIdentity(string(st.Op))
-			}
-			buf.Values[idxVal] = ir.ApplyReduce(string(st.Op), old, rhs)
-			return nil
-		}
-
-		// Plain store or centered reduction: task-private read-modify-
-		// write. Pointer fields take the raw value.
-		r := t.m.Regions[st.Region]
-		if kind, _ := r.FieldKindOf(st.Field); kind == region.IndexField {
-			t.overlay.writeIndex(k, idxVal, int64(rhs))
-			return nil
-		}
-		old := t.readScalar(k, idxVal)
-		t.overlay.writeScalar(k, idxVal, ir.ApplyReduce(string(st.Op), old, rhs))
-		return nil
-
-	case *ir.LetScalar:
-		v, err := t.scalar(st.Rhs, env)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		env[st.Var] = ir.ScalarValue(v)
-		return nil
-
-	case *ir.Apply:
-		f, ok := t.m.Funcs[st.Func]
-		if !ok {
-			return fmt.Errorf("%s: unknown index function", st)
-		}
-		arg, err := indexOf(env, st.Arg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if v, ok := f.Apply(arg); ok {
-			env[st.Var] = ir.IndexValue(v)
-		} else {
-			env[st.Var] = ir.InvalidIndex()
-		}
-		return nil
-
-	case *ir.Alias:
-		v, ok := env[st.Src]
-		if !ok {
-			return fmt.Errorf("%s: unbound source", st)
-		}
-		env[st.Var] = v
-		return nil
-
-	case *ir.Inner:
-		info := t.pl.Access[s]
-		if info == nil {
-			return fmt.Errorf("%s: no access plan", st)
-		}
-		idxVal, err := indexOf(env, st.Idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if err := t.contains(info, idxVal); err != nil {
-			return err
-		}
-		iv := t.m.Regions[st.RangeRegion].Ranges(st.RangeField)[idxVal]
-		for j := iv.Lo; j < iv.Hi; j++ {
-			env[st.Var] = ir.IndexValue(j)
-			if err := t.runBody(st.Body, env); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case *ir.IfIn:
-		v, ok := env[st.Idx]
-		if !ok {
-			return fmt.Errorf("%s: unbound index", st)
-		}
-		in := false
-		if v.Valid {
-			if r, isRegion := t.m.Regions[st.Space]; isRegion {
-				in = v.I >= 0 && v.I < r.Size()
-			} else if p, isPart := t.m.Partitions[st.Space]; isPart {
-				in = p.UnionAll().Contains(v.I)
-			} else {
-				return fmt.Errorf("%s: unknown space", st)
-			}
-		}
-		if in {
-			return t.runBody(st.Then, env)
-		}
-		return t.runBody(st.Else, env)
-
-	case *ir.IfCmp:
-		l, err := t.scalar(st.L, env)
-		if err != nil {
-			return err
-		}
-		r, err := t.scalar(st.R, env)
-		if err != nil {
-			return err
-		}
-		var cond bool
-		switch st.Op {
-		case "==":
-			cond = l == r
-		case "!=":
-			cond = l != r
-		default:
-			return fmt.Errorf("%s: unknown comparison", st)
-		}
-		if cond {
-			return t.runBody(st.Then, env)
-		}
-		return t.runBody(st.Else, env)
-
-	default:
-		return fmt.Errorf("unknown statement %T", s)
-	}
-}
-
-func (t *taskExec) scalar(e ir.ScalarExpr, env ir.Env) (float64, error) {
-	switch x := e.(type) {
-	case ir.Const:
-		return x.V, nil
-	case ir.VarExpr:
-		v, ok := env[x.Name]
-		if !ok {
-			return 0, fmt.Errorf("unbound variable %q", x.Name)
-		}
-		return v.AsScalar(), nil
-	case ir.CallExpr:
-		args := make([]float64, len(x.Args))
-		for i, a := range x.Args {
-			v, err := t.scalar(a, env)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
-		}
-		return ir.OpaqueFn(x.Func, args), nil
-	case ir.BinExpr:
-		l, err := t.scalar(x.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := t.scalar(x.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			if r == 0 {
-				return 0, nil
-			}
-			return l / r, nil
-		default:
-			return 0, fmt.Errorf("unknown operator %q", x.Op)
-		}
-	default:
-		return 0, fmt.Errorf("unknown scalar expression %T", e)
-	}
-}
-
-func indexOf(env ir.Env, name string) (int64, error) {
-	v, ok := env[name]
-	if !ok {
-		return 0, fmt.Errorf("unbound variable %q", name)
-	}
-	if !v.IsIndex {
-		return 0, fmt.Errorf("variable %q is not an index", name)
-	}
-	if !v.Valid {
-		return 0, fmt.Errorf("variable %q holds an invalid index", name)
-	}
-	return v.I, nil
 }

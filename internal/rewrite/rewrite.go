@@ -10,6 +10,7 @@ package rewrite
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"autopart/internal/infer"
 	"autopart/internal/ir"
@@ -49,6 +50,11 @@ type ParallelLoop struct {
 	// Access maps each region-accessing IR statement to its execution
 	// plan.
 	Access map[ir.Stmt]*AccessInfo
+
+	// compiled is the loop's shard kernel, built once on the first
+	// RunShard and shared by every node and shard that runs the loop.
+	compileOnce sync.Once
+	compiled    *kernel
 }
 
 // Symbols returns the canonical partition symbols used by the launch
