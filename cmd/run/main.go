@@ -8,6 +8,7 @@
 // Usage:
 //
 //	run -app circuit [-nodes 4] [-steps 2] [-transport inproc] [-size default] [-min-bytes 1] [-no-check]
+//	    [-cpuprofile FILE] [-memprofile FILE]
 //
 // Apps: stencil, circuit, circuit-hint, spmv, miniaero, pennant-h2.
 // Transports: inproc (default), tcp (loopback sockets with the compact
@@ -33,6 +34,10 @@
 // traffic moved (CI smoke tests assert nonzero traffic this way).
 // -no-check skips the bit-identity comparison against the sequential
 // reference.
+// -cpuprofile FILE writes a CPU profile of the whole run (build, run,
+// check) and -memprofile FILE a heap profile taken at exit, both in
+// the runtime/pprof format `go tool pprof` reads; with -transport proc
+// they cover the coordinator only.
 package main
 
 import (
@@ -40,6 +45,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 
@@ -218,11 +225,14 @@ func main() {
 	crashAtLaunch := flag.Int("crash-at-launch", -1, "launch index at which -crash-node dies (worker mode: this worker's own crash point)")
 	procWorker := flag.Bool("proc-worker", false, "internal: serve as a spawned worker process")
 	listen := flag.String("listen", "127.0.0.1:0", "worker mode: control listen address")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 
 	if *procWorker {
 		os.Exit(workerMode(*listen, *crashAtLaunch))
 	}
+	startProfiles(*cpuProfile, *memProfile)
 
 	build, ok := builders[*app]
 	if !ok {
@@ -232,7 +242,7 @@ func main() {
 		}
 		sort.Strings(names)
 		fmt.Fprintf(os.Stderr, "run: unknown -app %q (have %v)\n", *app, names)
-		os.Exit(2)
+		exit(2)
 	}
 
 	var tf exec.TransportFactory
@@ -245,7 +255,7 @@ func main() {
 	}
 	if *size != "default" && *size != "small" {
 		fmt.Fprintf(os.Stderr, "run: unknown -size %q (have default, small)\n", *size)
-		os.Exit(2)
+		exit(2)
 	}
 	prog, err := build(*nodes, *size == "small")
 	if err != nil {
@@ -310,8 +320,62 @@ func main() {
 
 	if rep.TotalBytes < *minBytes {
 		fmt.Fprintf(os.Stderr, "run: moved %.0f bytes, below -min-bytes %.0f\n", rep.TotalBytes, *minBytes)
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
+}
+
+// stopProfiles finishes the profiles startProfiles began; exit runs it,
+// so every path out of main after flag parsing goes through exit.
+var stopProfiles = func() {}
+
+// startProfiles starts the CPU profile and arranges for the heap
+// profile, each only when its file is named.
+func startProfiles(cpuFile, memFile string) {
+	var cpu *os.File
+	if cpuFile != "" {
+		f, err := os.Create(cpuFile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		cpu = f
+	}
+	stopProfiles = func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "run: cpuprofile: %v\n", err)
+			}
+		}
+		if memFile != "" {
+			if err := writeHeapProfile(memFile); err != nil {
+				fmt.Fprintf(os.Stderr, "run: memprofile: %v\n", err)
+			}
+		}
+	}
+}
+
+func writeHeapProfile(name string) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile reports the heap as of the last GC
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// exit ends the process with code after writing any requested profiles.
+func exit(code int) {
+	stopProfiles()
+	stopProfiles = func() {}
+	os.Exit(code)
 }
 
 // workerMode is the hidden -proc-worker entry point: the process the
@@ -386,10 +450,10 @@ func failJSON(rep reportJSON, err error) {
 	rep.Error = err.Error()
 	emitJSON(rep)
 	fmt.Fprintf(os.Stderr, "run: %v\n", err)
-	os.Exit(1)
+	exit(1)
 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "run: %v\n", err)
-	os.Exit(1)
+	exit(1)
 }

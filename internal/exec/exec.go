@@ -33,9 +33,17 @@
 // same-field write sequence (ghost installs, ship installs, ordered
 // folds) happens in the launch order the sequential executor uses.
 //
+// Which pieces move between which nodes is a pure function of an
+// (instance partition, owner partition) pair, so a run computes each
+// pair's exchange table once (exchange.go) and every node of the
+// process reads it: senders and receivers take their sets from one
+// definition, and a launch costs each node work proportional to its
+// own peers rather than to the node count.
+//
 // All data moves as messages through a Transport (in-process queues by
 // default, loopback TCP, or a latency-injecting chaos transport); nodes
-// never share mutable memory. The executor measures the traffic it
+// never share mutable memory — the exchange tables are immutable once
+// built. The executor measures the traffic it
 // generates in the same units sim predicts (sim.NodeStats), making
 // prediction error directly testable, and times each launch's compute
 // and communication overlap (NodeTiming).
@@ -238,6 +246,12 @@ type NodeResult struct {
 // loop and its inbox receiver, then packs the node's finally-owned data.
 // The caller owns the transport's lifecycle (deferred Err, Close).
 func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, error) {
+	return runNode(prog, cfg, id, tr, &exchanges{})
+}
+
+// runNode is RunNode reading exchange tables from xs, which Run shares
+// among all of its in-process nodes.
+func runNode(prog *Program, cfg Config, id int, tr Transport, xs *exchanges) (*NodeResult, error) {
 	applyDefaults(&cfg)
 	if err := validate(prog, cfg); err != nil {
 		return nil, err
@@ -251,6 +265,7 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		prog:   prog,
 		m:      cloneMachine(prog.Machine),
 		owners: cloneOwners(prog.Owners),
+		xs:     xs,
 		tr:     tr,
 		mb:     newMailbox(),
 		stats:  make([][]sim.NodeStats, cfg.Steps),
@@ -438,6 +453,9 @@ func Run(prog *Program, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("exec: transport: %w", err)
 	}
 
+	// One table set per run: the tables die with the run, and every
+	// run pays for its own.
+	xs := &exchanges{}
 	results := make([]*NodeResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -445,7 +463,7 @@ func Run(prog *Program, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = RunNode(prog, cfg, id, tr)
+			results[id], errs[id] = runNode(prog, cfg, id, tr, xs)
 		}(j)
 	}
 	wg.Wait()

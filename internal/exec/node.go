@@ -16,7 +16,9 @@ import (
 // every region (valid only on owned elements and fresh ghosts), its own
 // replica of the owner map (all replicas evolve identically), and its
 // rows of the per-launch statistics. Nodes communicate exclusively
-// through the transport; no mutable state is shared.
+// through the transport. What the nodes of one process share is
+// immutable once built: the program and the run's exchange tables
+// (see exchange.go).
 //
 // Execution is dependency-driven, not bulk-synchronous: each launch's
 // incoming messages are known in advance (buildSched), all outgoing
@@ -34,6 +36,7 @@ type node struct {
 	prog    *Program
 	m       *ir.Machine
 	owners  map[sim.FieldKey]*region.Partition
+	xs      *exchanges
 	tr      Transport
 	mb      *mailbox
 	stats   [][]sim.NodeStats
@@ -177,24 +180,16 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 			if err != nil {
 				return err
 			}
-			for k := 0; k < n.nodes(); k++ {
-				if k == j {
-					continue
-				}
-				need := p.Sub(k).Subtract(owner.Sub(k))
-				piece := need.Intersect(owner.Sub(j))
-				if piece.Empty() {
-					continue
-				}
-				msg, err := packField(n.m.Regions[req.Region], f, piece)
+			for _, pc := range n.xs.get(p, owner).to[j] {
+				msg, err := packField(n.m.Regions[req.Region], f, pc.Set)
 				if err != nil {
 					return err
 				}
 				msg.kind, msg.step, msg.launch, msg.req = ghostMsg, step, li, ri
 				msg.region, msg.field = req.Region, f
-				n.send(k, msg)
-				st.BytesOut += float64(piece.Len()) * bpe
-				st.FragsOut += piece.NumIntervals()
+				n.send(pc.Color, msg)
+				st.BytesOut += float64(pc.Set.Len()) * bpe
+				st.FragsOut += pc.Set.NumIntervals()
 				st.MsgsOut++
 			}
 		}
@@ -260,14 +255,14 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 				if err != nil {
 					return err
 				}
-				remote := p.Sub(j).Subtract(owner.Sub(j))
+				x := n.xs.get(p, owner)
+				remote := x.remote[j]
 				if remote.Empty() {
 					continue
 				}
 				st.BytesOut += float64(remote.Len()) * bpe
 				st.FragsOut += remote.NumIntervals()
-				covered := geometry.IndexSet{}
-				for _, pc := range region.SplitByOwner(remote, owner) {
+				for _, pc := range x.from[j] {
 					msg, err := packField(n.m.Regions[req.Region], f, pc.Set)
 					if err != nil {
 						return err
@@ -276,11 +271,10 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 					msg.region, msg.field = req.Region, f
 					n.send(pc.Color, msg)
 					st.MsgsOut++
-					covered = covered.Union(pc.Set)
 				}
-				if !covered.Equal(remote) {
+				if lost := x.uncovered[j]; !lost.Empty() {
 					return fmt.Errorf("guarded write-back of %s.%s would lose updates on unowned set %s",
-						req.Region, f, remote.Subtract(covered))
+						req.Region, f, lost)
 				}
 			}
 			continue
@@ -303,11 +297,11 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 				mergeOrder = append(mergeOrder, fk)
 			}
 			reach := mergeReach[fk].Union(owner.Sub(j))
-			remote := touched.Sub(j).Subtract(owner.Sub(j))
-			if !remote.Empty() {
+			x := n.xs.get(touched, owner)
+			if remote := x.remote[j]; !remote.Empty() {
 				st.BytesOut += float64(remote.Len()) * bpe
 				st.FragsOut += remote.NumIntervals()
-				for _, pc := range region.SplitByOwner(remote, owner) {
+				for _, pc := range x.from[j] {
 					var msg message
 					if buf != nil {
 						msg.scalars, msg.present = packBuffer(buf.Values, pc.Set)
@@ -320,7 +314,7 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 					n.send(pc.Color, msg)
 					st.MsgsOut++
 				}
-				reach = reach.Union(remote.Intersect(owner.UnionAll()))
+				reach = reach.Union(remote.Subtract(x.uncovered[j]))
 			}
 			mergeReach[fk] = reach
 		}

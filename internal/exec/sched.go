@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"autopart/internal/geometry"
-	"autopart/internal/region"
 	"autopart/internal/rewrite"
 	"autopart/internal/runtime"
 )
@@ -184,8 +183,9 @@ type foldSpec struct {
 // launchSched is one (step, launch) dependency schedule on one node:
 // which messages must land before the shard can run (ghosts), which
 // must land before the launch can finish (write-backs), and the folds
-// the finish performs. Both sides derive it independently from the
-// same replicated metadata, which is what makes tag-matching sound.
+// the finish performs. Sender and receiver read every element set from
+// the same exchange table (exchange.go), built from replicated
+// metadata, which is what makes tag-matching sound.
 type launchSched struct {
 	step, li int
 	task     runtime.Task
@@ -208,7 +208,8 @@ type launchSched struct {
 // before receiving it). It must run before the launch's ownership
 // update: ghost sets are relative to owners at launch entry (where
 // valid data IS), while write-back sets use postOwnerOf (where valid
-// data will be READ after the launch), mirroring the send side.
+// data will be READ after the launch), exactly as the send side keys
+// its tables.
 func (n *node) buildSched(step, li int, t runtime.Task) (*launchSched, error) {
 	l := t.Launch
 	st := &n.stats[step][li]
@@ -228,25 +229,24 @@ func (n *node) buildSched(step, li int, t runtime.Task) (*launchSched, error) {
 			if err != nil {
 				return nil, err
 			}
-			remote := p.Sub(j).Subtract(owner.Sub(j))
+			x := n.xs.get(p, owner)
+			remote := x.remote[j]
 			if remote.Empty() {
 				continue
 			}
 			st.BytesIn += float64(remote.Len()) * bpe
 			st.FragsIn += remote.NumIntervals()
-			covered := geometry.IndexSet{}
-			for _, pc := range region.SplitByOwner(remote, owner) {
+			for _, pc := range x.from[j] {
 				sc.ghosts = append(sc.ghosts, depSpec{
 					key: tagKey{ghostMsg, step, li, ri, req.Region, f, pc.Color},
 					set: pc.Set,
 					fk:  rewrite.FieldKey{Region: req.Region, Field: f},
 				})
 				st.MsgsIn++
-				covered = covered.Union(pc.Set)
 			}
-			if !covered.Equal(remote) {
+			if lost := x.uncovered[j]; !lost.Empty() {
 				return nil, fmt.Errorf("no valid copy of %s.%s for ghost set %s (owner covers only %s)",
-					req.Region, f, remote, covered)
+					req.Region, f, remote, remote.Subtract(lost))
 			}
 		}
 	}
@@ -266,22 +266,15 @@ func (n *node) buildSched(step, li int, t runtime.Task) (*launchSched, error) {
 					return nil, err
 				}
 				fk := rewrite.FieldKey{Region: req.Region, Field: f}
-				for k := 0; k < n.nodes(); k++ {
-					if k == j {
-						continue
-					}
-					piece := p.Sub(k).Subtract(owner.Sub(k)).Intersect(owner.Sub(j))
-					if piece.Empty() {
-						continue
-					}
+				for _, pc := range n.xs.get(p, owner).to[j] {
 					sc.backs = append(sc.backs, depSpec{
-						key: tagKey{shipMsg, step, li, ri, req.Region, f, k},
-						set: piece,
+						key: tagKey{shipMsg, step, li, ri, req.Region, f, pc.Color},
+						set: pc.Set,
 						fk:  fk,
 					})
 					sc.touches[fk] = true
-					st.BytesIn += float64(piece.Len()) * bpe
-					st.FragsIn += piece.NumIntervals()
+					st.BytesIn += float64(pc.Set.Len()) * bpe
+					st.FragsIn += pc.Set.NumIntervals()
 					st.MsgsIn++
 				}
 			}
@@ -302,24 +295,19 @@ func (n *node) buildSched(step, li int, t runtime.Task) (*launchSched, error) {
 				sc.folds = append(sc.folds, foldSpec{fk: fk, op: req.ReduceOp, own: owner.Sub(j)})
 				sc.touches[fk] = true
 			}
-			for k := 0; k < n.nodes(); k++ {
-				if k == j {
-					continue
-				}
-				if p.Sub(k).Empty() {
-					continue
-				}
-				piece := touched.Sub(k).Subtract(owner.Sub(k)).Intersect(owner.Sub(j))
-				if piece.Empty() {
+			for _, pc := range n.xs.get(touched, owner).to[j] {
+				// A peer with an empty instance subregion skips its
+				// merges altogether (see runLaunch).
+				if p.Sub(pc.Color).Empty() {
 					continue
 				}
 				sc.backs = append(sc.backs, depSpec{
-					key: tagKey{mergeMsg, step, li, ri, req.Region, f, k},
-					set: piece,
+					key: tagKey{mergeMsg, step, li, ri, req.Region, f, pc.Color},
+					set: pc.Set,
 					fk:  fk,
 				})
-				st.BytesIn += float64(piece.Len()) * bpe
-				st.FragsIn += piece.NumIntervals()
+				st.BytesIn += float64(pc.Set.Len()) * bpe
+				st.FragsIn += pc.Set.NumIntervals()
 				st.MsgsIn++
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // affordable: the point here is protocol coverage across node counts
 // and transports, not workload realism — the default-size matrix in
 // exec_test.go keeps covering that.
-func smallAppCases(t *testing.T) []appCase {
+func smallAppCases(t testing.TB) []appCase {
 	t.Helper()
 	return []appCase{
 		{"stencil", func(n int) (*exec.Program, error) {

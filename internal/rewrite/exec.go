@@ -142,6 +142,10 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 	type elem struct {
 		op   string
 		idxs map[int64]bool
+		// bufs are the field's buffers in ascending color order; colors
+		// without one are left out, so each element's fold probes only
+		// the colors that contributed to the field.
+		bufs []*ReduceBuffer
 	}
 	fields := map[FieldKey]*elem{}
 	for _, bufs := range perColor {
@@ -151,6 +155,7 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 				e = &elem{op: buf.Op, idxs: map[int64]bool{}}
 				fields[k] = e
 			}
+			e.bufs = append(e.bufs, buf)
 			for idx := range buf.Values {
 				e.idxs[idx] = true
 			}
@@ -177,11 +182,7 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 		for _, idx := range idxs {
 			var v float64
 			first := true
-			for _, bufs := range perColor {
-				buf := bufs[k]
-				if buf == nil {
-					continue
-				}
+			for _, buf := range e.bufs {
 				c, ok := buf.Values[idx]
 				if !ok {
 					continue
